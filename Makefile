@@ -39,8 +39,10 @@ bench:
 # class, plus the depth-probe-fed auto), the PR 9 dynamic-apply
 # cut-vs-rebuild crossover, and the PR 10 binary-container ingestion
 # ladder (mmap vs streamed v2 vs legacy v1 vs text parse+build), into
-# BENCH_PR10.json.
+# BENCH_PR$(PR).json. PR=N is required, so no earlier snapshot is
+# overwritten by accident: make bench-json PR=12
 bench-json:
+	@test -n "$(PR)" || { echo "usage: make bench-json PR=N (writes BENCH_PR<N>.json)" >&2; exit 2; }
 	( go test -bench='BFS|CC|Pool|Reach' -benchmem -benchtime=20x -run='^$$' \
 		. ./internal/bfs ./internal/parallel ; \
 	  go test -bench='Build|Parse|Reorder' -benchmem -benchtime=5x -run='^$$' \
@@ -59,7 +61,7 @@ bench-json:
 		. ; \
 	  go test -bench='HTTPThroughput' -benchmem -benchtime=2s -run='^$$' \
 		./internal/httpd ) \
-		| go run ./cmd/bench2json > BENCH_PR10.json
+		| go run ./cmd/bench2json > BENCH_PR$(PR).json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

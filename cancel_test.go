@@ -23,9 +23,9 @@ var kernelCases = []struct {
 }{
 	{
 		name: "CC",
-		run:  func(e *Engine, ctx context.Context) error { _, err := e.CCContext(ctx); return err },
+		run:  func(e *Engine, ctx context.Context) error { _, err := e.Acquire().CC(ctx); return err },
 		check: func(t *testing.T, e *Engine, und *Undirected, _ *Directed) {
-			res, err := e.CCContext(context.Background())
+			res, err := e.Acquire().CC(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,9 +37,9 @@ var kernelCases = []struct {
 	{
 		name:     "SCC",
 		directed: true,
-		run:      func(e *Engine, ctx context.Context) error { _, err := e.SCCContext(ctx); return err },
+		run:      func(e *Engine, ctx context.Context) error { _, err := e.Acquire().SCC(ctx); return err },
 		check: func(t *testing.T, e *Engine, _ *Undirected, dir *Directed) {
-			res, err := e.SCCContext(context.Background())
+			res, err := e.Acquire().SCC(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,9 +50,9 @@ var kernelCases = []struct {
 	},
 	{
 		name: "BiCC",
-		run:  func(e *Engine, ctx context.Context) error { _, err := e.BiCCContext(ctx); return err },
+		run:  func(e *Engine, ctx context.Context) error { _, err := e.Acquire().BiCC(ctx); return err },
 		check: func(t *testing.T, e *Engine, und *Undirected, _ *Directed) {
-			res, err := e.BiCCContext(context.Background())
+			res, err := e.Acquire().BiCC(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,9 +67,9 @@ var kernelCases = []struct {
 	},
 	{
 		name: "BgCC",
-		run:  func(e *Engine, ctx context.Context) error { _, err := e.BgCCContext(ctx); return err },
+		run:  func(e *Engine, ctx context.Context) error { _, err := e.Acquire().BgCC(ctx); return err },
 		check: func(t *testing.T, e *Engine, und *Undirected, _ *Directed) {
-			res, err := e.BgCCContext(context.Background())
+			res, err := e.Acquire().BgCC(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,10 +166,10 @@ func TestLargestCCCancelled(t *testing.T) {
 	e := NewEngine(g, Options{Threads: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.LargestCCContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := e.Acquire().LargestCC(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	res, err := e.LargestCCContext(context.Background())
+	res, err := e.Acquire().LargestCC(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestLargestCCCancelled(t *testing.T) {
 	if res.Size != maxSize {
 		t.Fatalf("LargestCC.Size = %d, oracle %d", res.Size, maxSize)
 	}
-	if ok, err := e.IsConnectedContext(context.Background()); err != nil {
+	if ok, err := e.Acquire().IsConnected(context.Background()); err != nil {
 		t.Fatal(err)
 	} else if want := len(sizes) == 1; ok != want {
 		t.Fatalf("IsConnected = %v, oracle %v", ok, want)

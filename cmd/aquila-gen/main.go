@@ -11,10 +11,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"aquila/internal/bench"
+	"aquila/internal/cli"
 	"aquila/internal/gen"
 	"aquila/internal/graph"
 )
@@ -77,21 +79,21 @@ func main() {
 	fmt.Printf("%d vertices, %d arcs -> %s\n", g.NumVertices(), g.NumArcs(), *out)
 }
 
+// writeGraph writes through a renamed temp file, so regenerating a graph a
+// running process has mmap'd leaves that process's mapping intact.
 func writeGraph(g *graph.Directed, path, format string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch format {
-	case "bin", "aqg":
-		// Binary output is the .aqg v2 container: versioned, page-aligned,
-		// mmap-able, and readable by every command's auto-detecting loader
-		// (legacy v1 files remain readable, just no longer written).
-		return graph.WriteContainer(f, g)
-	default:
-		return graph.WriteEdgeList(f, g)
-	}
+	return cli.WriteFileAtomic(path, func(w io.Writer) error {
+		switch format {
+		case "bin", "aqg":
+			// Binary output is the .aqg v2 container: versioned,
+			// page-aligned, mmap-able, and readable by every command's
+			// auto-detecting loader (legacy v1 files remain readable, just
+			// no longer written).
+			return graph.WriteContainer(w, g)
+		default:
+			return graph.WriteEdgeList(w, g)
+		}
+	})
 }
 
 func fatal(msg string) {

@@ -12,7 +12,8 @@
 //
 // Queries: connected, connected=<u>,<v>, strongly-connected, num-cc,
 // num-scc, num-bicc, num-bgcc, largest-cc, largest-scc, in-largest-cc=<v>,
-// aps, bridges, histogram, cc-policy, scc-policy, bicc-policy.
+// aps, bridges, histogram, stats, cc-policy, scc-policy, bicc-policy —
+// answered the same way with or without -serve.
 //
 // -cc-policy selects the connected-components matrix cell, -scc-policy the
 // strongly-connected-components cell, and -bicc-policy the biconnected-
@@ -36,6 +37,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -165,12 +167,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	start := time.Now()
-	var out string
-	if srv != nil {
-		out, err = cli.AnswerServed(context.Background(), srv, *query)
-	} else {
-		out, err = cli.Answer(eng, *query)
-	}
+	// With -serve the engine's snapshots are the server's: gated, with the
+	// -timeout default.
+	out, err := cli.Answer(context.Background(), eng.Acquire(), *query)
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aquila:", err)
@@ -209,19 +208,10 @@ func parseReorder(s string) (aquila.Reorder, error) {
 	}
 }
 
-// saveContainer writes g as an .aqg v2 container, atomically enough for a
-// CLI: write to the final path, remove it on error.
+// saveContainer writes g as an .aqg v2 container through a renamed temp
+// file, so path may be the very container g is mmap'd from.
 func saveContainer(g *aquila.Directed, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := aquila.WriteContainer(f, g); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
+	return cli.WriteFileAtomic(path, func(w io.Writer) error { return aquila.WriteContainer(w, g) })
 }
 
 // obtainGraph loads or generates the input and reports how long the parse

@@ -158,10 +158,10 @@ func TestEngineBiCCPolicyCancellation(t *testing.T) {
 			e := NewEngine(g, Options{Threads: 2, BiCCPolicy: spec})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := e.BiCCContext(ctx); !errors.Is(err, context.Canceled) {
+			if _, err := e.Acquire().BiCC(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			res, err := e.BiCCContext(context.Background())
+			res, err := e.Acquire().BiCC(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

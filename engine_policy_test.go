@@ -103,7 +103,7 @@ func TestEngineCCPolicyIncrementalSeed(t *testing.T) {
 
 // TestEngineCCPolicyCancellation mirrors the kernel cancellation tables for
 // explicit matrix cells: pre-cancelled contexts surface context.Canceled from
-// CCContext, nothing partial is cached, and the clean retry matches the
+// Snapshot.CC, nothing partial is cached, and the clean retry matches the
 // oracle — for a union-find cell, a label-prop cell, and auto.
 func TestEngineCCPolicyCancellation(t *testing.T) {
 	g := gen.RandomUndirected(2000, 6000, 47)
@@ -114,10 +114,10 @@ func TestEngineCCPolicyCancellation(t *testing.T) {
 			e := NewEngine(g, Options{Threads: 2, CCPolicy: spec})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := e.CCContext(ctx); !errors.Is(err, context.Canceled) {
+			if _, err := e.Acquire().CC(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			res, err := e.CCContext(context.Background())
+			res, err := e.Acquire().CC(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

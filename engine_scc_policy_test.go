@@ -152,10 +152,10 @@ func TestEngineSCCPolicyCancellation(t *testing.T) {
 			e := NewDirectedEngine(g, Options{Threads: 2, SCCPolicy: spec})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := e.SCCContext(ctx); !errors.Is(err, context.Canceled) {
+			if _, err := e.Acquire().SCC(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			res, err := e.SCCContext(context.Background())
+			res, err := e.Acquire().SCC(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

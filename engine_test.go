@@ -169,8 +169,13 @@ func TestArticulationPointsAndBridges(t *testing.T) {
 		if len(aps) != 2 || aps[0] != 5 || aps[1] != 9 {
 			t.Fatalf("%+v: APs = %v, want [5 9]", opt, aps)
 		}
-		if !e.IsArticulationPoint(5) || e.IsArticulationPoint(0) {
-			t.Errorf("%+v: IsArticulationPoint wrong", opt)
+		for _, c := range []struct {
+			v    V
+			want bool
+		}{{5, true}, {0, false}, {1 << 20, false}} {
+			if got := e.IsArticulationPoint(c.v); got != c.want {
+				t.Errorf("%+v: IsArticulationPoint(%d) = %v, want %v", opt, c.v, got, c.want)
+			}
 		}
 		bridges := e.Bridges()
 		if len(bridges) != 3 {
@@ -335,24 +340,33 @@ func TestFormatLoadersAPI(t *testing.T) {
 	}
 }
 
-// cacheState snapshots which engine caches are filled (set) and their
-// identities (id), so tests can assert exactly which caches an Apply batch
-// preserved versus dropped.
+// cacheState reports which results the engine's current snapshot has cached
+// (set) and their identities (id), so tests can assert exactly which results
+// an Apply batch carried into the next epoch versus dropped.
 func cacheState(e *Engine) (set map[string]bool, id map[string]string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	sn := e.Acquire()
 	set, id = map[string]bool{}, map[string]string{}
-	put := func(k string, v any, nonNil bool) { set[k] = nonNil; id[k] = fmt.Sprintf("%p", v) }
-	put("cc", e.ccRes, e.ccRes != nil)
-	put("largest", e.largestCC, e.largestCC != nil)
-	put("scc", e.sccRes, e.sccRes != nil)
-	put("cond", e.condensation, e.condensation != nil)
-	put("bicc", e.biccRes, e.biccRes != nil)
-	put("bgcc", e.bgccRes, e.bgccRes != nil)
-	put("apOnly", e.apOnly, e.apOnly != nil)
-	put("brOnly", e.brOnly, e.brOnly != nil)
-	put("btw", e.betweenness, e.betweenness != nil)
-	put("core", e.coreness, e.coreness != nil)
+	put := func(k string, v any, ok bool) { set[k] = ok; id[k] = fmt.Sprintf("%p", v) }
+	v1, ok := sn.ccRes.Peek()
+	put("cc", v1, ok)
+	v2, ok := sn.largest.Peek()
+	put("largest", v2, ok)
+	v3, ok := sn.sccRes.Peek()
+	put("scc", v3, ok)
+	v4, ok := sn.cond.Peek()
+	put("cond", v4, ok)
+	v5, ok := sn.biccRes.Peek()
+	put("bicc", v5, ok)
+	v6, ok := sn.bgccRes.Peek()
+	put("bgcc", v6, ok)
+	v7, ok := sn.apOnly.Peek()
+	put("apOnly", v7, ok)
+	v8, ok := sn.brOnly.Peek()
+	put("brOnly", v8, ok)
+	v9, ok := sn.btw.Peek()
+	put("btw", v9, ok)
+	v10, ok := sn.core.Peek()
+	put("core", v10, ok)
 	return set, id
 }
 

@@ -1,9 +1,12 @@
 // Package cli implements the query dispatch of the aquila command: it maps
-// query strings ("connected", "num-scc", "in-largest-cc=7", ...) onto Engine
-// calls — the command-line face of the paper's query classification (§3).
+// query strings ("connected", "num-scc", "in-largest-cc=7", ...) onto
+// Snapshot calls — the command-line face of the paper's query
+// classification (§3).
 package cli
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -24,48 +27,78 @@ var Queries = []string{
 	"cc-policy", "scc-policy", "bicc-policy",
 }
 
-// Answer runs one query against the engine and returns the printable answer.
-func Answer(eng *aquila.Engine, query string) (string, error) {
+// Answer runs one query against a snapshot and returns the printable
+// answer. The snapshot is an engine's (eng.Acquire()) or a server's: a
+// served snapshot answers through the admission gate, and requests it sheds
+// surface as an "overloaded, retry" error that still matches
+// aquila.ErrOverloaded under errors.Is.
+func Answer(ctx context.Context, sn *aquila.Snapshot, query string) (string, error) {
+	out, err := answer(ctx, sn, query)
+	if err != nil {
+		return "", serveErr(err)
+	}
+	return out, nil
+}
+
+// serveErr keeps shed load's errors.Is(err, aquila.ErrOverloaded)
+// classification — the one the HTTP front-end turns into 429 Too Many
+// Requests — but makes it read as an explicit retry notice.
+func serveErr(err error) error {
+	if errors.Is(err, aquila.ErrOverloaded) {
+		return fmt.Errorf("overloaded, retry: %w", err)
+	}
+	return err
+}
+
+func answer(ctx context.Context, sn *aquila.Snapshot, query string) (string, error) {
+	n := sn.NumVertices()
 	switch {
 	case query == "connected":
-		return fmt.Sprintf("%v", eng.IsConnected()), nil
+		return show(sn.IsConnected(ctx))
 	case strings.HasPrefix(query, "connected="):
 		u, v, err := parsePair(strings.TrimPrefix(query, "connected="))
 		if err != nil {
 			return "", err
 		}
-		n := eng.Undirected().NumVertices()
 		if int(u) >= n || int(v) >= n {
 			return "", fmt.Errorf("vertex out of range [0,%d)", n)
 		}
-		return fmt.Sprintf("%v", eng.Connected(u, v)), nil
+		return show(sn.Connected(ctx, u, v))
 	case query == "strongly-connected":
-		ok, err := eng.IsStronglyConnected()
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%v", ok), nil
+		return show(sn.IsStronglyConnected(ctx))
 	case query == "num-cc":
-		return fmt.Sprintf("%d connected components", eng.CountCC()), nil
+		cnt, err := sn.CountCC(ctx)
+		return fmt.Sprintf("%d connected components", cnt), err
 	case query == "num-scc":
-		res, err := eng.SCC()
+		res, err := sn.SCC(ctx)
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("%d strongly connected components", res.NumComponents), nil
 	case query == "num-bicc":
-		return fmt.Sprintf("%d biconnected components", eng.BiCC().NumBlocks), nil
+		res, err := sn.BiCC(ctx)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%d biconnected components", res.NumBlocks), nil
 	case query == "num-bgcc":
-		return fmt.Sprintf("%d bridgeless connected components", eng.BgCC().NumComponents), nil
+		res, err := sn.BgCC(ctx)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%d bridgeless connected components", res.NumComponents), nil
 	case query == "largest-cc":
-		res := eng.LargestCC()
+		res, err := sn.LargestCC(ctx)
+		if err != nil {
+			return "", err
+		}
 		how := "complete computation"
 		if res.Partial {
 			how = "partial computation"
 		}
 		return fmt.Sprintf("largest CC: %d vertices (via %s)", res.Size, how), nil
 	case query == "largest-scc":
-		res, err := eng.LargestSCC()
+		res, err := sn.LargestSCC(ctx)
 		if err != nil {
 			return "", err
 		}
@@ -75,30 +108,39 @@ func Answer(eng *aquila.Engine, query string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("bad vertex id: %v", err)
 		}
-		if int(v) >= eng.Undirected().NumVertices() {
+		if int(v) >= n {
 			return "", fmt.Errorf("vertex %d out of range", v)
 		}
-		return fmt.Sprintf("%v", eng.InLargestCC(aquila.V(v))), nil
+		return show(sn.InLargestCC(ctx, aquila.V(v)))
 	case query == "aps":
-		aps := eng.ArticulationPoints()
+		aps, err := sn.ArticulationPoints(ctx)
+		if err != nil {
+			return "", err
+		}
 		return fmt.Sprintf("%d articulation points: %v", len(aps), truncate(aps, 20)), nil
 	case query == "bridges":
-		brs := eng.Bridges()
-		return fmt.Sprintf("%d bridges: %v", len(brs), truncatePairs(brs, 20)), nil
+		brs, err := sn.Bridges(ctx)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%d bridges: %v", len(brs), truncate(brs, 20)), nil
 	case query == "stats":
-		return stats.Render(eng.Directed(), eng.Undirected(), 0), nil
+		return stats.Render(sn.Directed(), sn.Undirected(), 0), nil
 	case query == "cc-policy":
-		return fmt.Sprintf("cc policy: %s", eng.CCPolicy()), nil
+		return fmt.Sprintf("cc policy: %s", sn.CCPolicy()), nil
 	case query == "scc-policy":
-		pol, err := eng.SCCPolicy()
+		pol, err := sn.SCCPolicy()
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("scc policy: %s", pol), nil
 	case query == "bicc-policy":
-		return fmt.Sprintf("bicc policy: %s", eng.BiCCPolicy()), nil
+		return fmt.Sprintf("bicc policy: %s", sn.BiCCPolicy()), nil
 	case query == "histogram":
-		hist := eng.CCSizeHistogram()
+		hist, err := sn.CCSizeHistogram(ctx)
+		if err != nil {
+			return "", err
+		}
 		sizes := make([]int, 0, len(hist))
 		for s := range hist {
 			sizes = append(sizes, s)
@@ -113,6 +155,14 @@ func Answer(eng *aquila.Engine, query string) (string, error) {
 	default:
 		return "", fmt.Errorf("unknown query %q (available: %s)", query, strings.Join(Queries, ", "))
 	}
+}
+
+// show renders a yes/no answer, or passes its error on.
+func show(ok bool, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%v", ok), nil
 }
 
 // Explain classifies a query per the paper's §3 categories and renders the
@@ -177,14 +227,7 @@ func toPlanQuery(query string) (plan.Query, error) {
 	}
 }
 
-func truncate(vs []aquila.V, k int) []aquila.V {
-	if len(vs) <= k {
-		return vs
-	}
-	return vs[:k]
-}
-
-func truncatePairs(vs [][2]aquila.V, k int) [][2]aquila.V {
+func truncate[T any](vs []T, k int) []T {
 	if len(vs) <= k {
 		return vs
 	}

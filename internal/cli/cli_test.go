@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestAnswerAllQueries(t *testing.T) {
 		"in-largest-cc=13":   "false",
 	}
 	for q, expect := range want {
-		got, err := Answer(eng, q)
+		got, err := Answer(context.Background(), eng.Acquire(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -37,7 +38,7 @@ func TestAnswerAllQueries(t *testing.T) {
 }
 
 func TestAnswerLargestCC(t *testing.T) {
-	got, err := Answer(paperEngine(), "largest-cc")
+	got, err := Answer(context.Background(), paperEngine().Acquire(), "largest-cc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestAnswerLargestCC(t *testing.T) {
 func TestAnswerCCPolicy(t *testing.T) {
 	// The paper example is tiny, so the auto chooser resolves to the pipeline
 	// cell.
-	got, err := Answer(paperEngine(), "cc-policy")
+	got, err := Answer(context.Background(), paperEngine().Acquire(), "cc-policy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestAnswerCCPolicy(t *testing.T) {
 	// An engine pinned to an explicit cell reports that cell verbatim.
 	eng := aquila.NewDirectedEngine(gen.PaperExample(),
 		aquila.Options{Threads: 2, CCPolicy: "afforest+uf-rem"})
-	if got, _ := Answer(eng, "cc-policy"); got != "cc policy: afforest+uf-rem" {
+	if got, _ := Answer(context.Background(), eng.Acquire(), "cc-policy"); got != "cc policy: afforest+uf-rem" {
 		t.Errorf("explicit cc-policy = %q", got)
 	}
 	if out, err := Explain("cc-policy"); err != nil || !strings.Contains(out, "diagnostic") {
@@ -70,7 +71,7 @@ func TestAnswerCCPolicy(t *testing.T) {
 func TestAnswerSCCPolicy(t *testing.T) {
 	// The paper example is tiny, so the auto chooser resolves to the coloring
 	// pipeline.
-	got, err := Answer(paperEngine(), "scc-policy")
+	got, err := Answer(context.Background(), paperEngine().Acquire(), "scc-policy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +81,12 @@ func TestAnswerSCCPolicy(t *testing.T) {
 	// An engine pinned to an explicit cell reports that cell verbatim.
 	eng := aquila.NewDirectedEngine(gen.PaperExample(),
 		aquila.Options{Threads: 2, SCCPolicy: "multireach"})
-	if got, _ := Answer(eng, "scc-policy"); got != "scc policy: multireach" {
+	if got, _ := Answer(context.Background(), eng.Acquire(), "scc-policy"); got != "scc policy: multireach" {
 		t.Errorf("explicit scc-policy = %q", got)
 	}
 	// Undirected engines have no SCC matrix to resolve.
 	und := aquila.NewEngine(gen.PaperExampleUndirected(), aquila.Options{})
-	if _, err := Answer(und, "scc-policy"); err == nil {
+	if _, err := Answer(context.Background(), und.Acquire(), "scc-policy"); err == nil {
 		t.Errorf("scc-policy on undirected engine: want error")
 	}
 	if out, err := Explain("scc-policy"); err != nil || !strings.Contains(out, "diagnostic") {
@@ -95,18 +96,18 @@ func TestAnswerSCCPolicy(t *testing.T) {
 
 func TestAnswerAPsAndBridges(t *testing.T) {
 	eng := paperEngine()
-	got, _ := Answer(eng, "aps")
+	got, _ := Answer(context.Background(), eng.Acquire(), "aps")
 	if !strings.HasPrefix(got, "2 articulation points") {
 		t.Errorf("aps = %q", got)
 	}
-	got, _ = Answer(eng, "bridges")
+	got, _ = Answer(context.Background(), eng.Acquire(), "bridges")
 	if !strings.HasPrefix(got, "3 bridges") {
 		t.Errorf("bridges = %q", got)
 	}
 }
 
 func TestAnswerHistogram(t *testing.T) {
-	got, err := Answer(paperEngine(), "histogram")
+	got, err := Answer(context.Background(), paperEngine().Acquire(), "histogram")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +121,13 @@ func TestAnswerHistogram(t *testing.T) {
 func TestAnswerErrors(t *testing.T) {
 	eng := paperEngine()
 	for _, q := range []string{"nonsense", "in-largest-cc=abc", "in-largest-cc=999"} {
-		if _, err := Answer(eng, q); err == nil {
+		if _, err := Answer(context.Background(), eng.Acquire(), q); err == nil {
 			t.Errorf("query %q: want error", q)
 		}
 	}
 	// SCC queries on an undirected engine propagate ErrNotDirected.
 	und := aquila.NewEngine(gen.PaperExampleUndirected(), aquila.Options{})
-	if _, err := Answer(und, "num-scc"); err == nil {
+	if _, err := Answer(context.Background(), und.Acquire(), "num-scc"); err == nil {
 		t.Errorf("num-scc on undirected engine: want error")
 	}
 }

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"compress/gzip"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,7 +61,7 @@ func TestLoadDirectedFormatParity(t *testing.T) {
 	{
 		eng := aquila.NewDirectedEngine(g, aquila.Options{})
 		for _, q := range queries {
-			out, err := Answer(eng, q)
+			out, err := Answer(context.Background(), eng.Acquire(), q)
 			if err != nil {
 				t.Fatalf("%s on in-memory graph: %v", q, err)
 			}
@@ -79,7 +80,7 @@ func TestLoadDirectedFormatParity(t *testing.T) {
 		}
 		eng := aquila.NewDirectedEngine(lg.Graph, aquila.Options{})
 		for _, q := range queries {
-			out, err := Answer(eng, q)
+			out, err := Answer(context.Background(), eng.Acquire(), q)
 			if err != nil {
 				t.Fatalf("%s from %s: %v", q, path, err)
 			}

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,14 +73,14 @@ func TestReplayUpdatesErrors(t *testing.T) {
 
 func TestAnswerConnectedPair(t *testing.T) {
 	eng := paperEngine()
-	if got, err := Answer(eng, "connected=0,5"); err != nil || got != "true" {
+	if got, err := Answer(context.Background(), eng.Acquire(), "connected=0,5"); err != nil || got != "true" {
 		t.Errorf("connected=0,5 = %q, %v", got, err)
 	}
-	if got, err := Answer(eng, "connected=0,12"); err != nil || got != "false" {
+	if got, err := Answer(context.Background(), eng.Acquire(), "connected=0,12"); err != nil || got != "false" {
 		t.Errorf("connected=0,12 = %q, %v", got, err)
 	}
 	for _, q := range []string{"connected=0", "connected=0,z", "connected=0,999"} {
-		if _, err := Answer(eng, q); err == nil {
+		if _, err := Answer(context.Background(), eng.Acquire(), q); err == nil {
 			t.Errorf("query %q: want error", q)
 		}
 	}
@@ -87,7 +88,7 @@ func TestAnswerConnectedPair(t *testing.T) {
 	if _, err := eng.Apply([]aquila.Edge{{U: 0, V: 12}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := Answer(eng, "connected=0,12"); got != "true" {
+	if got, _ := Answer(context.Background(), eng.Acquire(), "connected=0,12"); got != "true" {
 		t.Errorf("connected=0,12 after Apply = %q, want true", got)
 	}
 }

@@ -3,147 +3,12 @@ package cli
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"strings"
 
 	"aquila"
 )
-
-// serveErr maps serving-layer failures onto operator-actionable messages.
-// Shed load keeps its errors.Is(err, aquila.ErrOverloaded) classification —
-// the same one the HTTP front-end turns into 429 Too Many Requests — but
-// reads as an explicit retry notice instead of a generic failure.
-func serveErr(err error) error {
-	if errors.Is(err, aquila.ErrOverloaded) {
-		return fmt.Errorf("overloaded, retry: %w", err)
-	}
-	return err
-}
-
-// AnswerServed runs one query through the serving layer — every answer comes
-// from a pinned snapshot with singleflight batching and admission control in
-// front of the kernels — and returns the same printable form as Answer.
-// Requests shed by admission control surface as an "overloaded, retry"
-// error that still matches aquila.ErrOverloaded under errors.Is.
-func AnswerServed(ctx context.Context, srv *aquila.Server, query string) (string, error) {
-	out, err := answerServed(ctx, srv, query)
-	if err != nil {
-		return "", serveErr(err)
-	}
-	return out, nil
-}
-
-func answerServed(ctx context.Context, srv *aquila.Server, query string) (string, error) {
-	switch {
-	case query == "connected":
-		ok, err := srv.IsConnected(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%v", ok), nil
-	case strings.HasPrefix(query, "connected="):
-		u, v, err := parsePair(strings.TrimPrefix(query, "connected="))
-		if err != nil {
-			return "", err
-		}
-		sn := srv.Acquire()
-		if int(u) >= sn.NumVertices() || int(v) >= sn.NumVertices() {
-			return "", fmt.Errorf("vertex out of range [0,%d)", sn.NumVertices())
-		}
-		ok, err := sn.Connected(ctx, u, v)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%v", ok), nil
-	case query == "strongly-connected":
-		res, err := srv.SCC(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%v", res.NumComponents == 1), nil
-	case query == "num-cc":
-		cnt, err := srv.CountCC(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d connected components", cnt), nil
-	case query == "num-scc":
-		res, err := srv.SCC(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d strongly connected components", res.NumComponents), nil
-	case query == "num-bicc":
-		res, err := srv.BiCC(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d biconnected components", res.NumBlocks), nil
-	case query == "num-bgcc":
-		res, err := srv.BgCC(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d bridgeless connected components", res.NumComponents), nil
-	case query == "largest-cc":
-		res, err := srv.LargestCC(ctx)
-		if err != nil {
-			return "", err
-		}
-		how := "complete computation"
-		if res.Partial {
-			how = "partial computation"
-		}
-		return fmt.Sprintf("largest CC: %d vertices (via %s)", res.Size, how), nil
-	case strings.HasPrefix(query, "in-largest-cc="):
-		u, err := strconv.ParseUint(strings.TrimPrefix(query, "in-largest-cc="), 10, 32)
-		if err != nil {
-			return "", fmt.Errorf("bad vertex id: %v", err)
-		}
-		if int(u) >= srv.Acquire().NumVertices() {
-			return "", fmt.Errorf("vertex %d out of range", u)
-		}
-		res, err := srv.LargestCC(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%v", res.Contains(aquila.V(u))), nil
-	case query == "aps":
-		aps, err := srv.ArticulationPoints(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d articulation points: %v", len(aps), truncate(aps, 20)), nil
-	case query == "bridges":
-		brs, err := srv.Bridges(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d bridges: %v", len(brs), truncatePairs(brs, 20)), nil
-	case query == "histogram":
-		hist, err := srv.CCSizeHistogram(ctx)
-		if err != nil {
-			return "", err
-		}
-		sizes := make([]int, 0, len(hist))
-		for s := range hist {
-			sizes = append(sizes, s)
-		}
-		sort.Ints(sizes)
-		var b strings.Builder
-		fmt.Fprintf(&b, "CC size histogram (%d distinct sizes):\n", len(sizes))
-		for _, s := range sizes {
-			fmt.Fprintf(&b, "  size %8d: %d component(s)\n", s, hist[s])
-		}
-		return strings.TrimRight(b.String(), "\n"), nil
-	default:
-		return "", fmt.Errorf("query %q is not served (serve-mode queries: connected, connected=<u>,<v>, strongly-connected, num-cc, num-scc, num-bicc, num-bgcc, largest-cc, in-largest-cc=<v>, aps, bridges, histogram)", query)
-	}
-}
 
 // ReplayServed replays an update script through the serving layer. It accepts
 // the ReplayUpdates format — including `- u v` delete ops, which publish

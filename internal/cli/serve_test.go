@@ -31,7 +31,7 @@ func TestAnswerServedAllQueries(t *testing.T) {
 		"in-largest-cc=13":   "false",
 	}
 	for q, expect := range want {
-		got, err := AnswerServed(ctx, srv, q)
+		got, err := Answer(ctx, srv.Acquire(), q)
 		if err != nil {
 			t.Errorf("query %q: %v", q, err)
 			continue
@@ -43,19 +43,18 @@ func TestAnswerServedAllQueries(t *testing.T) {
 	// The serving layer may answer largest-cc from the census or a partial
 	// traversal depending on which caches warmed first, so only the size is
 	// stable — not the "(via ...)" strategy note.
-	if got, err := AnswerServed(ctx, srv, "largest-cc"); err != nil || !strings.HasPrefix(got, "largest CC: 8 vertices") {
+	if got, err := Answer(ctx, srv.Acquire(), "largest-cc"); err != nil || !strings.HasPrefix(got, "largest CC: 8 vertices") {
 		t.Errorf("largest-cc = %q, %v", got, err)
 	}
-	// Served answers must agree with the direct engine path for every query
-	// both sides support.
+	// Served answers must agree with the direct engine path.
 	eng := paperEngine()
-	for _, q := range []string{"aps", "bridges", "histogram"} {
-		served, err := AnswerServed(ctx, srv, q)
+	for _, q := range []string{"aps", "bridges", "histogram", "stats", "largest-scc", "cc-policy", "scc-policy", "bicc-policy"} {
+		served, err := Answer(ctx, srv.Acquire(), q)
 		if err != nil {
 			t.Errorf("served %q: %v", q, err)
 			continue
 		}
-		direct, err := Answer(eng, q)
+		direct, err := Answer(context.Background(), eng.Acquire(), q)
 		if err != nil {
 			t.Errorf("direct %q: %v", q, err)
 			continue
@@ -64,11 +63,47 @@ func TestAnswerServedAllQueries(t *testing.T) {
 			t.Errorf("query %q: served %q, direct %q", q, served, direct)
 		}
 	}
-	if _, err := AnswerServed(ctx, srv, "stats"); err == nil {
-		t.Error("stats: want not-served error")
-	}
-	if _, err := AnswerServed(ctx, srv, "nonsense"); err == nil {
+	if _, err := Answer(ctx, srv.Acquire(), "nonsense"); err == nil {
 		t.Error("nonsense: want error")
+	}
+}
+
+// TestAnswerParityDirectServed asks every query in Queries of a bare engine
+// and of a served twin, on the paper example with and without a BFS reorder,
+// before and after a batch that deletes the bridge {12,13}: each answer must
+// print the same either way.
+func TestAnswerParityDirectServed(t *testing.T) {
+	ctx := context.Background()
+	queries := make([]string, len(Queries))
+	for i, q := range Queries {
+		queries[i] = strings.NewReplacer("<u>,<v>", "0,12", "<v>", "12").Replace(q)
+	}
+	g := gen.PaperExample()
+	cut := aquila.Delete(12, 13)
+	if !g.HasArc(12, 13) {
+		cut = aquila.Delete(13, 12)
+	}
+	for _, opt := range []aquila.Options{{Threads: 2}, {Threads: 2, Reorder: aquila.ReorderBFS}} {
+		eng := aquila.NewDirectedEngine(g, opt)
+		srv := aquila.NewServer(aquila.NewDirectedEngine(g, opt), aquila.ServerConfig{})
+		for _, batch := range [][]aquila.Update{nil, {cut}} {
+			if batch != nil {
+				if _, err := eng.ApplyUpdates(batch); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := srv.ApplyUpdates(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, q := range queries {
+				direct, derr := Answer(ctx, eng.Acquire(), q)
+				served, serr := Answer(ctx, srv.Acquire(), q)
+				if derr != nil || serr != nil || direct != served {
+					t.Errorf("reorder=%v deleted=%v %q: direct (%q, %v), served (%q, %v)",
+						opt.Reorder, batch != nil, q, direct, derr, served, serr)
+				}
+			}
+		}
 	}
 }
 
@@ -159,7 +194,7 @@ func TestAnswerServedOverloaded(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				_, err := AnswerServed(ctx, srv, "num-cc")
+				_, err := Answer(ctx, srv.Acquire(), "num-cc")
 				errs <- err
 			}()
 		}

@@ -38,10 +38,12 @@ type call[T any] struct {
 // client never aborts work others still want. A cancelled or failed compute
 // is not cached: the next Get retries from scratch.
 //
-// The zero value is ready to use. A Cell is safe for concurrent use.
+// The zero value is ready to use. A Cell is safe for concurrent use. Once a
+// value is stored it never changes, so warm reads (Get's cached branch and
+// Peek) are a single atomic load with no lock.
 type Cell[T any] struct {
 	mu    sync.Mutex
-	has   bool
+	ready atomic.Bool // a value is cached; set only after val, under mu
 	val   T
 	cur   *call[T]
 	stats *CellStats
@@ -62,8 +64,16 @@ func (c *Cell[T]) SetStats(st *CellStats) {
 // results are discarded). Get returns ctx.Err() if ctx is done before the
 // shared compute finishes. A nil ctx never cancels.
 func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, error)) (T, error) {
+	if v, ok := c.Cached(); ok {
+		return v, nil
+	}
+	if err := ctxErr(ctx); err != nil {
+		// Already abandoned: neither start nor join a compute.
+		var zero T
+		return zero, err
+	}
 	c.mu.Lock()
-	if c.has {
+	if c.ready.Load() {
 		if c.stats != nil {
 			c.stats.hits.Add(1)
 		}
@@ -87,8 +97,8 @@ func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, err
 			v, err := compute(cctx)
 			c.mu.Lock()
 			cl.val, cl.err = v, err
-			if err == nil && !c.has {
-				c.has, c.val = true, v
+			if err == nil && !c.ready.Load() {
+				c.store(v)
 			}
 			if c.cur == cl {
 				c.cur = nil
@@ -125,11 +135,27 @@ func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, err
 	}
 }
 
-// Peek returns the cached value without triggering a compute.
+// Cached returns the cached value without triggering a compute, counting the
+// lookup as a hit when there is one (a miss is not counted: the caller is
+// expected to follow up with Get, which counts it).
+func (c *Cell[T]) Cached() (T, bool) {
+	if !c.ready.Load() {
+		var zero T
+		return zero, false
+	}
+	if st := c.stats; st != nil {
+		st.hits.Add(1)
+	}
+	return c.val, true
+}
+
+// Peek returns the cached value without triggering a compute or counting.
 func (c *Cell[T]) Peek() (T, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.val, c.has
+	if c.ready.Load() {
+		return c.val, true
+	}
+	var zero T
+	return zero, false
 }
 
 // Seed stores v as the cell's value if nothing is cached yet. It never
@@ -138,8 +164,16 @@ func (c *Cell[T]) Peek() (T, bool) {
 // compute's value, whichever landed first).
 func (c *Cell[T]) Seed(v T) {
 	c.mu.Lock()
-	if !c.has {
-		c.has, c.val = true, v
+	if !c.ready.Load() {
+		c.store(v)
 	}
 	c.mu.Unlock()
+}
+
+// store caches v; c.mu must be held and nothing cached yet. The value is
+// written before ready is set, so a lock-free reader that sees ready also
+// sees the value.
+func (c *Cell[T]) store(v T) {
+	c.val = v
+	c.ready.Store(true)
 }

@@ -87,7 +87,7 @@ func FuzzServerSchedule(f *testing.F) {
 				ub, _ := next()
 				vb, _ := next()
 				u, v := aquila.V(int(ub)%n), aquila.V(int(vb)%n)
-				got, err := srv.Connected(ctx, u, v)
+				got, err := srv.Acquire().Connected(ctx, u, v)
 				if err != nil {
 					t.Fatalf("Connected: %v", err)
 				}
@@ -96,7 +96,7 @@ func FuzzServerSchedule(f *testing.F) {
 					t.Fatalf("Connected(%d,%d) = %v, oracle %v (edges %v)", u, v, got, want, mirror.edges)
 				}
 			case 2: // full CC decomposition on the live epoch
-				res, err := srv.CC(ctx)
+				res, err := srv.Acquire().CC(ctx)
 				if err != nil {
 					t.Fatalf("CC: %v", err)
 				}
@@ -104,7 +104,7 @@ func FuzzServerSchedule(f *testing.F) {
 					t.Fatalf("CC: %v", err)
 				}
 			case 3: // articulation points on the live epoch
-				aps, err := srv.ArticulationPoints(ctx)
+				aps, err := srv.Acquire().ArticulationPoints(ctx)
 				if err != nil {
 					t.Fatalf("APs: %v", err)
 				}
@@ -112,7 +112,7 @@ func FuzzServerSchedule(f *testing.F) {
 			case 4: // cancelled query: context error or a correct answer
 				cctx, cancel := context.WithCancel(ctx)
 				cancel()
-				if cnt, err := srv.CountCC(cctx); err == nil {
+				if cnt, err := srv.Acquire().CountCC(cctx); err == nil {
 					if want := countDistinct(serialdfs.CC(mirror.graph())); cnt != want {
 						t.Fatalf("cancelled CountCC = %d, oracle %d", cnt, want)
 					}
@@ -120,7 +120,7 @@ func FuzzServerSchedule(f *testing.F) {
 			case 5: // near-zero deadline: either outcome, answers must be right
 				us, _ := next()
 				dctx, cancel := context.WithTimeout(ctx, time.Duration(us%50)*time.Microsecond)
-				if ok2, err := srv.IsConnected(dctx); err == nil {
+				if ok2, err := srv.Acquire().IsConnected(dctx); err == nil {
 					if want := countDistinct(serialdfs.CC(mirror.graph())) == 1; ok2 != want {
 						cancel()
 						t.Fatalf("deadline IsConnected = %v, oracle %v", ok2, want)
@@ -146,7 +146,7 @@ func FuzzServerSchedule(f *testing.F) {
 			}
 		}
 		// Whatever the schedule did, the live epoch must equal the mirror.
-		res, err := srv.CC(ctx)
+		res, err := srv.Acquire().CC(ctx)
 		if err != nil {
 			t.Fatalf("final CC: %v", err)
 		}

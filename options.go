@@ -1,10 +1,14 @@
 package aquila
 
 import (
+	"context"
+
 	"aquila/internal/bfs"
+	"aquila/internal/bgcc"
 	"aquila/internal/bicc"
 	"aquila/internal/cc"
 	"aquila/internal/scc"
+	"aquila/internal/stats"
 )
 
 // Traversal selects how much of the enhanced-BFS machinery is used for the
@@ -166,4 +170,56 @@ func (o Options) rebuildThreshold() float64 {
 	default:
 		return o.RebuildThreshold
 	}
+}
+
+// Kernel options and policy resolution. Each policy resolves per graph, not
+// per engine: a batch can reshape the graph enough to change the auto cell,
+// so every snapshot resolves against its own pinned graph. Explicit specs
+// parse to their cell; "auto", "" and unparseable specs run the chooser.
+
+func (o Options) ccOptions(ctx context.Context) cc.Options {
+	return cc.Options{Threads: o.Threads, NoTrim: o.DisableTrim, NoAdaptive: o.DisableAdaptive,
+		Mode: o.Traversal.mode(), Ctx: ctx}
+}
+
+func (o Options) ccPolicy(g *Undirected) cc.Policy {
+	if s := o.CCPolicy; s != "" && s != "auto" {
+		if pol, err := cc.ParsePolicy(s); err == nil {
+			return pol
+		}
+	}
+	return cc.ChoosePolicy(stats.CheapUndirected(g))
+}
+
+func (o Options) sccOptions(ctx context.Context) scc.Options {
+	return scc.Options{Threads: o.Threads, NoTrim: o.DisableTrim, NoAdaptive: o.DisableAdaptive,
+		Mode: o.Traversal.mode(), Ctx: ctx}
+}
+
+func (o Options) sccPolicy(g *Directed) scc.Policy {
+	if s := o.SCCPolicy; s != "" && s != "auto" {
+		if pol, err := scc.ParsePolicy(s); err == nil {
+			return pol
+		}
+	}
+	return scc.ChoosePolicy(stats.ProbeDirected(g, o.Threads))
+}
+
+func (o Options) biccOptions(ctx context.Context, apOnly bool) bicc.Options {
+	return bicc.Options{Threads: o.Threads, NoTrim: o.DisableTrim, NoSPO: o.DisableSPO,
+		NoAdaptive: o.DisableAdaptive, Mode: o.Traversal.mode(), APOnly: apOnly, Ctx: ctx}
+}
+
+func (o Options) biccPolicy(g *Undirected) bicc.Policy {
+	if s := o.BiCCPolicy; s != "" && s != "auto" {
+		if pol, err := bicc.ParsePolicy(s); err == nil {
+			return pol
+		}
+	}
+	return bicc.ChoosePolicy(stats.ProbeUndirected(g))
+}
+
+func (o Options) bgccOptions(ctx context.Context, bridgeOnly bool) bgcc.Options {
+	return bgcc.Options{Threads: o.Threads, NoTrim: o.DisableTrim, NoSPO: o.DisableSPO,
+		NoAdaptive: o.DisableAdaptive, Mode: o.Traversal.mode(), BridgeOnly: bridgeOnly, Ctx: ctx}
 }

@@ -1,15 +1,12 @@
 package aquila
 
 import (
-	"context"
 	"errors"
 
-	"aquila/internal/bfs"
+	"aquila/internal/apps/condense"
 	"aquila/internal/bgcc"
 	"aquila/internal/bicc"
 	"aquila/internal/cc"
-	"aquila/internal/gen"
-	"aquila/internal/graph"
 	"aquila/internal/scc"
 )
 
@@ -25,478 +22,155 @@ type BiCCResult = bicc.Result
 // BgCCResult is a complete bridgeless-connected-components decomposition.
 type BgCCResult = bgcc.Result
 
+// Condensation is the SCC-contracted DAG of a directed graph (paper §2.1,
+// application 1), supporting topological order and O(1) reachability queries
+// after a lazily built index.
+type Condensation = condense.DAG
+
 // ErrNotDirected is returned by SCC queries on engines built over undirected
 // graphs.
 var ErrNotDirected = errors.New("aquila: SCC queries need a directed graph (use NewDirectedEngine)")
 
-// CC returns the complete connected-components decomposition (computed once,
-// then cached). For directed engines this is the WCC decomposition. After
-// Apply batches, the decomposition is re-derived from the incremental
-// union-find in O(|V|) instead of recomputed by traversal.
-func (e *Engine) CC() *CCResult { return e.ccComplete() }
+// The Engine's queries answer on its current snapshot (see the Snapshot
+// method of the same name for each one's strategy); only Connected, CountCC
+// and IsConnected read the live union-find or forest once a batch has been
+// applied. Results are cached on the snapshot and shared: callers must not
+// mutate them.
+
+// CC returns the complete connected-components decomposition. For directed
+// engines this is the WCC decomposition. After Apply batches it is
+// re-derived from the incremental union-find in O(|V|) instead of
+// recomputed by traversal.
+func (e *Engine) CC() *CCResult { r, _ := e.Acquire().CC(direct); return r }
 
 // WCC is CC under its directed-graph name: the weakly connected components.
-func (e *Engine) WCC() *CCResult { return e.ccComplete() }
-
-// CCContext is CC with cooperative cancellation: a cold-cache compute polls
-// ctx at chunk boundaries and a cancelled call returns ctx.Err() without
-// caching the partial result (a retry recomputes from scratch). A warm cache
-// answers immediately regardless of ctx. A nil ctx behaves like
-// context.Background.
-func (e *Engine) CCContext(ctx context.Context) (*CCResult, error) {
-	return e.ccCompleteCtx(ctx)
-}
-
-// SCCContext is SCC with cooperative cancellation (CCContext semantics).
-func (e *Engine) SCCContext(ctx context.Context) (*SCCResult, error) {
-	if !e.directed {
-		return nil, ErrNotDirected
-	}
-	return e.sccCompleteCtx(ctx)
-}
-
-// BiCCContext is BiCC with cooperative cancellation (CCContext semantics).
-func (e *Engine) BiCCContext(ctx context.Context) (*BiCCResult, error) {
-	return e.biccCompleteCtx(ctx)
-}
-
-// BgCCContext is BgCC with cooperative cancellation (CCContext semantics).
-func (e *Engine) BgCCContext(ctx context.Context) (*BgCCResult, error) {
-	return e.bgccCompleteCtx(ctx)
-}
+func (e *Engine) WCC() *CCResult { return e.CC() }
 
 // SCC returns the complete strongly-connected-components decomposition.
-func (e *Engine) SCC() (*SCCResult, error) {
-	if !e.directed {
-		return nil, ErrNotDirected
-	}
-	return e.sccComplete(), nil
-}
+func (e *Engine) SCC() (*SCCResult, error) { return e.Acquire().SCC(direct) }
 
 // BiCC returns the complete biconnected-components decomposition.
-func (e *Engine) BiCC() *BiCCResult { return e.biccComplete() }
+func (e *Engine) BiCC() *BiCCResult { r, _ := e.Acquire().BiCC(direct); return r }
 
 // BgCC returns the complete bridgeless-connected-components decomposition.
-func (e *Engine) BgCC() *BgCCResult { return e.bgccComplete() }
-
-// CountCC returns the number of connected components. Under incremental
-// updates it reads an O(1) counter maintained by Apply.
-func (e *Engine) CountCC() int {
-	e.mu.Lock()
-	if e.dyn != nil {
-		cnt := e.dyn.ComponentCount()
-		e.mu.Unlock()
-		return cnt
-	}
-	if e.inc != nil {
-		cnt := e.inc.ComponentCount()
-		e.mu.Unlock()
-		return cnt
-	}
-	res := e.ccCompleteLocked()
-	e.mu.Unlock()
-	return res.NumComponents
-}
-
-// Connected reports whether u and v lie in the same connected component.
-// Before any Apply it reads the cached CC decomposition; once incremental
-// updates have begun it is answered straight from the union-find in
-// near-constant time, without blocking on (or waiting for) writers. In
-// dynamic mode (after the first delete op) it reads the spanning forest in
-// O(log n) under the engine lock. Both endpoints must be existing vertices.
-func (e *Engine) Connected(u, v V) bool {
-	e.mu.Lock()
-	if e.dyn != nil {
-		// The forest is not safe for concurrent mutation, so unlike the
-		// union-find branch this query holds e.mu — still O(log n), no
-		// traversal, and consistent with any in-flight ApplyUpdates.
-		c := e.dyn.Connected(e.mapV(u), e.mapV(v))
-		e.mu.Unlock()
-		return c
-	}
-	if e.inc != nil {
-		s := e.inc
-		e.mu.Unlock()
-		// The union-find lives in compute ids; translate the pair on the way
-		// in (mapV is the identity for unreordered engines).
-		return s.Connected(e.mapV(u), e.mapV(v))
-	}
-	res := e.ccCompleteLocked()
-	e.mu.Unlock()
-	return res.Label[u] == res.Label[v]
-}
+func (e *Engine) BgCC() *BgCCResult { r, _ := e.Acquire().BgCC(direct); return r }
 
 // CCSizeHistogram maps component size to the number of components of that
 // size (the paper's Fig. 8 shape).
 func (e *Engine) CCSizeHistogram() map[int]int {
-	hist := make(map[int]int)
-	for _, s := range e.ccComplete().Sizes {
-		hist[s]++
-	}
-	return hist
+	h, _ := e.Acquire().CCSizeHistogram(direct)
+	return h
 }
 
-// IsConnected answers the small-XCC query "is this graph connected?" (§3).
-// With partial computation enabled it first looks for a trimmable pattern —
-// any orphan or isolated pair in a larger graph disproves connectivity
-// immediately — and otherwise runs a single traversal from a randomly chosen
-// vertex. Under incremental updates the component counter answers directly.
-func (e *Engine) IsConnected() bool {
-	ok, _ := e.isConnectedCtx(nil)
-	return ok
-}
-
-// IsConnectedContext is IsConnected with cooperative cancellation: the
-// traversal polls ctx at chunk boundaries, and a cancelled call returns
-// ctx.Err() with no answer (nothing is cached, so a retry recomputes). A nil
-// ctx behaves like context.Background.
-func (e *Engine) IsConnectedContext(ctx context.Context) (bool, error) {
-	return e.isConnectedCtx(ctx)
-}
-
-func (e *Engine) isConnectedCtx(ctx context.Context) (bool, error) {
-	e.mu.Lock()
-	n := e.und.NumVertices()
-	if n <= 1 {
-		e.mu.Unlock()
-		return true, nil
-	}
-	if e.dyn != nil {
-		cnt := e.dyn.ComponentCount()
-		e.mu.Unlock()
-		return cnt == 1, nil
-	}
-	if e.inc != nil {
-		cnt := e.inc.ComponentCount()
-		e.mu.Unlock()
-		return cnt == 1, nil
-	}
-	if e.opt.DisablePartial {
-		res, err := e.ccCompleteLockedCtx(ctx)
-		e.mu.Unlock()
-		if err != nil {
-			return false, err
-		}
-		return res.NumComponents == 1, nil
-	}
-	g := e.und
-	e.mu.Unlock()
-	// Trim check: a trimmable pattern in a graph bigger than the pattern is a
-	// separate component.
-	for v := 0; v < n; v++ {
-		if g.Degree(graph.V(v)) == 0 {
-			return false, nil
-		}
-	}
-	for v := 0; v < n && n > 2; v++ {
-		if g.Degree(graph.V(v)) == 1 {
-			u := g.Neighbors(graph.V(v))[0]
-			if g.Degree(u) == 1 {
-				return false, nil
-			}
-		}
-	}
-	// Random pivot (deterministically seeded) + one traversal.
-	rng := gen.NewRNG(uint64(n)*0x9e37 + uint64(g.NumEdges()))
-	pivot := graph.V(rng.Intn(n))
-	rs := e.getReach(n)
-	visited := rs.Reach(bfs.UndirectedAdj(g), pivot, nil,
-		bfs.Options{Threads: e.opt.Threads, Ctx: ctx}, e.opt.Traversal.mode())
-	connected := visited.Count() == n
-	e.putReach(rs)
-	if err := ctxErr(ctx); err != nil {
-		return false, err
-	}
-	return connected, nil
-}
-
-// IsStronglyConnected answers "is this graph strongly connected?" with
-// partial computation: any size-1-trimmable vertex disproves it; otherwise
-// one forward and one backward traversal from a pivot decide it.
-func (e *Engine) IsStronglyConnected() (bool, error) {
-	if !e.directed {
-		return false, ErrNotDirected
-	}
-	g := e.dirView()
-	n := g.NumVertices()
-	if n <= 1 {
-		return true, nil
-	}
-	if e.opt.DisablePartial {
-		return e.sccComplete().NumComponents == 1, nil
-	}
-	for v := 0; v < n; v++ {
-		if g.InDegree(graph.V(v)) == 0 || g.OutDegree(graph.V(v)) == 0 {
-			return false, nil
-		}
-	}
-	pivot := graph.V(0)
-	rs := e.getReach(n)
-	defer e.putReach(rs)
-	fw := rs.Reach(bfs.ForwardAdj(g), pivot, nil,
-		bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-	if fw.Count() != n {
-		return false, nil
-	}
-	// The forward count is consumed, so the same scratch (and bitmap) can
-	// carry the backward sweep.
-	bw := rs.Reach(bfs.BackwardAdj(g), pivot, nil,
-		bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-	return bw.Count() == n, nil
-}
-
-// LargestResult describes the largest connected component.
-type LargestResult struct {
-	// Size is the component's vertex count.
-	Size int
-	// Pivot is a member vertex (the master pivot that found it).
-	Pivot V
-	// Partial reports whether the answer came from partial computation
-	// (one traversal + size comparison) rather than a full decomposition.
-	Partial bool
-
-	contains func(V) bool
-}
-
-// Contains reports whether v belongs to the largest component.
-func (l *LargestResult) Contains(v V) bool { return l.contains(v) }
-
-// LargestCC answers the largest-XCC queries (§3): it traverses from the
-// max-degree master pivot and, if the found component is at least as big as
-// everything else combined, stops there — no other component can beat it.
-// Only when the heuristic pivot lands in a minority component does it fall
-// back to the complete computation. Under incremental updates the answer
-// comes from the union-find census instead of any traversal.
-func (e *Engine) LargestCC() *LargestResult {
-	res, _ := e.largestCCCtx(nil)
-	return res
-}
-
-// LargestCCContext is LargestCC with cooperative cancellation: both the
-// partial-computation traversal and the complete-decomposition fallback poll
-// ctx at chunk boundaries. A cancelled call returns ctx.Err() and caches
-// nothing. A nil ctx behaves like context.Background.
-func (e *Engine) LargestCCContext(ctx context.Context) (*LargestResult, error) {
-	return e.largestCCCtx(ctx)
-}
-
-func (e *Engine) largestCCCtx(ctx context.Context) (*LargestResult, error) {
-	e.mu.Lock()
-	if e.inc != nil || e.dyn != nil {
-		res, err := e.ccCompleteLockedCtx(ctx)
-		e.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		lbl := res.LargestLabel
-		return &LargestResult{
-			Size: res.LargestSize, Pivot: V(lbl),
-			contains: func(v V) bool { return int(v) < len(res.Label) && res.Label[v] == lbl },
-		}, nil
-	}
-	g := e.und
-	e.mu.Unlock()
-	n := g.NumVertices()
-	if !e.opt.DisablePartial && n > 0 {
-		master := g.MaxDegreeVertex()
-		rs := e.getReach(n)
-		visited := rs.Reach(bfs.UndirectedAdj(g), master, nil,
-			bfs.Options{Threads: e.opt.Threads, Ctx: ctx}, e.opt.Traversal.mode())
-		if err := ctxErr(ctx); err != nil {
-			e.putReach(rs)
-			return nil, err
-		}
-		size := visited.Count()
-		if 2*size >= n {
-			// The result keeps visited.Get, so the bitmap must survive the
-			// scratch's next checkout. The traversal ran in compute ids:
-			// membership checks translate in, the pivot translates out.
-			rs.DetachVisited()
-			e.putReach(rs)
-			// Reject out-of-range vertices before touching the permutation
-			// or the bitmap: Contains on an unknown vertex is false, not a
-			// panic (callers like the HTTP front-end pass ids unchecked).
-			contains := func(v V) bool { return int(v) < n && visited.Get(v) }
-			if e.perm != nil {
-				contains = func(v V) bool { return int(v) < n && visited.Get(e.perm.Perm[v]) }
-			}
-			return &LargestResult{
-				Size: size, Pivot: e.unmapV(master), Partial: true,
-				contains: contains,
-			}, nil
-		}
-		e.putReach(rs)
-	}
-	res, err := e.ccCompleteCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	lbl := res.LargestLabel
-	return &LargestResult{
-		Size:  res.LargestSize,
-		Pivot: V(lbl),
-		contains: func(v V) bool {
-			return int(v) < len(res.Label) && res.Label[v] == lbl
-		},
-	}, nil
-}
+// LargestCC answers the largest-XCC query (§3) with partial computation.
+func (e *Engine) LargestCC() *LargestResult { r, _ := e.Acquire().LargestCC(direct); return r }
 
 // InLargestCC reports whether v is in the largest connected component.
-func (e *Engine) InLargestCC(v V) bool {
-	e.mu.Lock()
-	cached := e.largestCC
-	gen := e.cacheGen
-	e.mu.Unlock()
-	if cached == nil {
-		cached = e.LargestCC()
-		e.mu.Lock()
-		// The fill ran outside the lock; a concurrent Apply may have
-		// invalidated the cache in the meantime. Storing the stale fill would
-		// erase that invalidation, so it is kept only if no invalidation
-		// happened (the answer itself is still consistent: it linearizes at
-		// the point the fill read the engine state).
-		if e.cacheGen == gen {
-			e.largestCC = cached
-		}
-		e.mu.Unlock()
-	}
-	return cached.Contains(v)
-}
+func (e *Engine) InLargestCC(v V) bool { ok, _ := e.Acquire().InLargestCC(direct, v); return ok }
+
+// IsStronglyConnected answers "is this graph strongly connected?" with
+// partial computation.
+func (e *Engine) IsStronglyConnected() (bool, error) { return e.Acquire().IsStronglyConnected(direct) }
 
 // LargestSCC answers "how big is the largest SCC / is v in it" with partial
-// computation: trim, then one FW-BW sweep from the master pivot; if the found
-// SCC is at least as large as the remaining unassigned vertices it must be
-// the largest.
-func (e *Engine) LargestSCC() (*LargestResult, error) {
-	if !e.directed {
-		return nil, ErrNotDirected
-	}
-	g := e.dirView()
-	n := g.NumVertices()
-	if !e.opt.DisablePartial && n > 0 {
-		// One FW-BW from the max-degree pivot. Both halves run through one
-		// scratch: the forward bitmap is detached before the backward sweep
-		// resets the scratch state.
-		master := g.MaxOutDegreeVertex()
-		rs := e.getReach(n)
-		fw := rs.Reach(bfs.ForwardAdj(g), master, nil,
-			bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-		rs.DetachVisited()
-		bw := rs.Reach(bfs.BackwardAdj(g), master, nil,
-			bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-		size := 0
-		for v := 0; v < n; v++ {
-			if fw.Get(V(v)) && bw.Get(V(v)) {
-				size++
-			}
-		}
-		if 2*size >= n {
-			// Both bitmaps escape into the result's contains closure; like
-			// LargestCC, the bitmaps are compute-space so membership checks
-			// translate in.
-			rs.DetachVisited()
-			e.putReach(rs)
-			return &LargestResult{
-				Size: size, Pivot: e.unmapV(master), Partial: true,
-				contains: func(v V) bool {
-					if int(v) >= n {
-						return false
-					}
-					v = e.mapV(v)
-					return fw.Get(v) && bw.Get(v)
-				},
-			}, nil
-		}
-		e.putReach(rs)
-	}
-	res := e.sccComplete()
-	lbl := res.LargestLabel
-	return &LargestResult{
-		Size:  res.LargestSize,
-		Pivot: V(lbl),
-		contains: func(v V) bool {
-			return int(v) < len(res.Label) && res.Label[v] == lbl
-		},
-	}, nil
-}
+// computation.
+func (e *Engine) LargestSCC() (*LargestResult, error) { return e.Acquire().LargestSCC(direct) }
 
-// ArticulationPoints answers the AP-only query (§3): with partial computation
-// it runs the workload-reduced AP detection without block bookkeeping and
-// stops checking a vertex once it is proven an AP.
-func (e *Engine) ArticulationPoints() []V {
-	var isAP []bool
-	if e.opt.DisablePartial {
-		isAP = e.biccComplete().IsAP
-	} else {
-		e.mu.Lock()
-		e.materializeLocked()
-		if e.apOnly == nil {
-			raw := e.biccSolve(e.und, nil, true)
-			if e.perm != nil {
-				raw = remapBiCC(raw, e.perm, e.eidMap, e.opt.Threads)
-			}
-			e.apOnly = raw
-		}
-		isAP = e.apOnly.IsAP
-		e.mu.Unlock()
-	}
-	var out []V
-	for v, ap := range isAP {
-		if ap {
-			out = append(out, V(v))
-		}
-	}
-	return out
-}
+// ArticulationPoints answers the AP-only query (§3) with the workload-reduced
+// AP detection, without block bookkeeping.
+func (e *Engine) ArticulationPoints() []V { r, _ := e.Acquire().ArticulationPoints(direct); return r }
 
-// IsArticulationPoint reports whether v is an articulation point.
+// IsArticulationPoint reports whether v is an articulation point (false for
+// an out-of-range v), in O(1) once the AP flags are cached.
 func (e *Engine) IsArticulationPoint(v V) bool {
-	for _, ap := range e.ArticulationPoints() {
-		if ap == v {
-			return true
-		}
-	}
-	return false
+	ok, _ := e.Acquire().IsArticulationPoint(direct, v)
+	return ok
 }
 
 // Bridges answers the bridge-only query (§3), returning each bridge as an
 // ordered endpoint pair.
-func (e *Engine) Bridges() [][2]V {
+func (e *Engine) Bridges() [][2]V { r, _ := e.Acquire().Bridges(direct); return r }
+
+// Condensation contracts the engine's directed graph by its SCCs.
+func (e *Engine) Condensation() (*Condensation, error) { return e.Acquire().Condensation(direct) }
+
+// BetweennessCentrality computes exact betweenness centrality over the
+// undirected view.
+func (e *Engine) BetweennessCentrality() []float64 {
+	r, _ := e.Acquire().BetweennessCentrality(direct)
+	return r
+}
+
+// Coreness returns the k-core decomposition of the undirected view.
+func (e *Engine) Coreness() []int32 { r, _ := e.Acquire().Coreness(direct); return r }
+
+// CCPolicy reports the CC matrix cell the engine would use for its current
+// graph, in cc.ParsePolicy syntax.
+func (e *Engine) CCPolicy() string { return e.Acquire().CCPolicy() }
+
+// SCCPolicy reports the SCC matrix cell the engine would use for its current
+// graph; undirected engines return ErrNotDirected.
+func (e *Engine) SCCPolicy() (string, error) { return e.Acquire().SCCPolicy() }
+
+// BiCCPolicy reports the BiCC matrix cell the engine would use for its
+// current graph.
+func (e *Engine) BiCCPolicy() string { return e.Acquire().BiCCPolicy() }
+
+// liveCount reads the component count off the union-find or forest; ok is
+// false before the first batch, when the snapshot answers instead.
+func (e *Engine) liveCount() (cnt int, ok bool) {
+	if !e.live.Load() {
+		return 0, false
+	}
 	e.mu.Lock()
-	e.materializeLocked()
-	// The kernel runs on the compute graph; the cached flags and the reported
-	// endpoints are both in original ids (flags remapped through eidMap).
-	g := e.und
-	if e.perm != nil {
-		g = e.origUnd
+	defer e.mu.Unlock()
+	if e.dyn != nil {
+		return e.dyn.ComponentCount(), true
 	}
-	var isBridge []bool
-	if e.opt.DisablePartial {
-		if e.bgccRes == nil {
-			raw := bgcc.Run(e.und, e.bgccOptions(false))
-			if e.perm != nil {
-				raw = remapBgCC(raw, e.perm, e.eidMap, e.opt.Threads)
-			}
-			e.bgccRes = raw
-		}
-		isBridge = e.bgccRes.IsBridge
-	} else {
-		if e.brOnly == nil {
-			raw := bgcc.Run(e.und, e.bgccOptions(true))
-			if e.perm != nil {
-				raw = remapBgCC(raw, e.perm, e.eidMap, e.opt.Threads)
-			}
-			e.brOnly = raw
-		}
-		isBridge = e.brOnly.IsBridge
+	return e.inc.ComponentCount(), true
+}
+
+// CountCC returns the number of connected components. Under incremental
+// updates it reads an O(1) counter maintained by Apply.
+func (e *Engine) CountCC() int {
+	if cnt, ok := e.liveCount(); ok {
+		return cnt
 	}
-	e.mu.Unlock()
-	eps := g.EdgeEndpoints()
-	var out [][2]V
-	for id, b := range isBridge {
-		if b {
-			out = append(out, eps[id])
-		}
+	cnt, _ := e.Acquire().CountCC(direct)
+	return cnt
+}
+
+// IsConnected answers the small-XCC query "is this graph connected?" (§3):
+// a trimmable pattern disproves it without a traversal, and otherwise one
+// traversal decides it. Under incremental updates the component counter
+// answers directly.
+func (e *Engine) IsConnected() bool {
+	if cnt, ok := e.liveCount(); ok {
+		return cnt == 1 || e.n <= 1
 	}
-	return out
+	ok, _ := e.Acquire().IsConnected(direct)
+	return ok
+}
+
+// Connected reports whether u and v lie in the same connected component.
+// Before any batch it reads the snapshot's CC labels; once incremental
+// updates have begun it is answered straight from the union-find in
+// near-constant time, without waiting for writers. In dynamic mode (after
+// the first delete op) it reads the spanning forest in O(log n) under the
+// engine lock. Both endpoints must be existing vertices.
+func (e *Engine) Connected(u, v V) bool {
+	if e.live.Load() {
+		e.mu.Lock()
+		if e.dyn != nil {
+			// The forest is not safe for concurrent mutation, so unlike the
+			// union-find this query holds e.mu — still O(log n).
+			defer e.mu.Unlock()
+			return e.dyn.Connected(e.mapV(u), e.mapV(v))
+		}
+		s := e.inc
+		e.mu.Unlock()
+		return s.Connected(e.mapV(u), e.mapV(v))
+	}
+	ok, _ := e.Acquire().Connected(direct, u, v)
+	return ok
 }

@@ -2,8 +2,9 @@ package aquila
 
 // Result remapping for reordered engines. When Options.Reorder relabels the
 // graph, every kernel runs in the relabeled ("compute") id space; the helpers
-// here translate results back to the caller's original ids at cache-fill time,
-// so everything downstream of the caches is space-oblivious.
+// here translate results back to the caller's original ids before a snapshot
+// caches them, so everything downstream of the cells is space-oblivious. Each
+// helper returns raw itself when the engine is not reordered (p == nil).
 //
 // Vertex-indexed arrays translate by orig[ov] = raw[Perm[ov]]; label values
 // (which are vertex ids) translate through Inv; edge-indexed arrays translate
@@ -11,7 +12,7 @@ package aquila
 // The remapped labels remain self-representative (label[l] == l), because
 // conjugating a partition by a bijection preserves representatives — but they
 // are NOT min-id canonical, which is why the incremental union-find is always
-// seeded from the raw compute-space labels (see Engine.ccRawLocked).
+// seeded from the raw compute-space labels (see Snapshot.ccRawGet).
 
 import (
 	"aquila/internal/bgcc"
@@ -52,12 +53,18 @@ func remapComponents(label []uint32, largest uint32, sizes map[uint32]int, p *gr
 // remapCC returns raw translated to original ids (a fresh Result; raw is not
 // mutated — it stays cached for incremental seeding).
 func remapCC(raw *cc.Result, p *graph.Permutation, threads int) *cc.Result {
+	if p == nil {
+		return raw
+	}
 	out := *raw
 	out.Label, out.LargestLabel, out.Sizes = remapComponents(raw.Label, raw.LargestLabel, raw.Sizes, p, threads)
 	return &out
 }
 
 func remapSCC(raw *scc.Result, p *graph.Permutation, threads int) *scc.Result {
+	if p == nil {
+		return raw
+	}
 	out := *raw
 	out.Label, out.LargestLabel, out.Sizes = remapComponents(raw.Label, raw.LargestLabel, raw.Sizes, p, threads)
 	return &out
@@ -66,6 +73,9 @@ func remapSCC(raw *scc.Result, p *graph.Permutation, threads int) *scc.Result {
 // remapBiCC translates IsAP by vertex and BlockOf by edge id (block labels
 // are opaque and stay as-is).
 func remapBiCC(raw *bicc.Result, p *graph.Permutation, eidMap []int64, threads int) *bicc.Result {
+	if p == nil {
+		return raw
+	}
 	out := *raw
 	th := parallel.Threads(threads)
 	out.IsAP = make([]bool, len(raw.IsAP))
@@ -85,6 +95,9 @@ func remapBiCC(raw *bicc.Result, p *graph.Permutation, eidMap []int64, threads i
 // become original vertex ids in the same component (still self-representative,
 // not necessarily the component minimum).
 func remapBgCC(raw *bgcc.Result, p *graph.Permutation, eidMap []int64, threads int) *bgcc.Result {
+	if p == nil {
+		return raw
+	}
 	out := *raw
 	th := parallel.Threads(threads)
 	out.IsBridge = make([]bool, len(raw.IsBridge))
@@ -102,6 +115,9 @@ func remapBgCC(raw *bgcc.Result, p *graph.Permutation, eidMap []int64, threads i
 
 // remapFloats translates a vertex-indexed score array (betweenness).
 func remapFloats(raw []float64, p *graph.Permutation, threads int) []float64 {
+	if p == nil {
+		return raw
+	}
 	out := make([]float64, len(raw))
 	parallel.For(0, len(raw), parallel.Threads(threads), func(ov int) {
 		out[ov] = raw[p.Perm[ov]]
@@ -111,6 +127,9 @@ func remapFloats(raw []float64, p *graph.Permutation, threads int) []float64 {
 
 // remapInt32s translates a vertex-indexed array (coreness).
 func remapInt32s(raw []int32, p *graph.Permutation, threads int) []int32 {
+	if p == nil {
+		return raw
+	}
 	out := make([]int32, len(raw))
 	parallel.For(0, len(raw), parallel.Threads(threads), func(ov int) {
 		out[ov] = raw[p.Perm[ov]]

@@ -51,7 +51,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							if _, err := s.ArticulationPoints(ctx); err != nil {
+							if _, err := s.Acquire().ArticulationPoints(ctx); err != nil {
 								b.Error(err)
 							}
 						}()

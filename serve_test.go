@@ -46,14 +46,14 @@ func TestServerSnapshotIsolation(t *testing.T) {
 		t.Fatalf("old CountCC = %d, want 2", cnt)
 	}
 	// ...while the new epoch sees the merge.
-	if ok, _ := s.Connected(ctx, 0, 3); !ok {
+	if ok, _ := s.Acquire().Connected(ctx, 0, 3); !ok {
 		t.Fatal("new epoch missing the applied edge")
 	}
-	if cnt, _ := s.CountCC(ctx); cnt != 1 {
-		cnt2, _ := s.CountCC(ctx)
+	if cnt, _ := s.Acquire().CountCC(ctx); cnt != 1 {
+		cnt2, _ := s.Acquire().CountCC(ctx)
 		t.Fatalf("new CountCC = %d (retry %d), want 1", cnt, cnt2)
 	}
-	if ok, _ := s.IsConnected(ctx); !ok {
+	if ok, _ := s.Acquire().IsConnected(ctx); !ok {
 		t.Fatal("new epoch should be connected")
 	}
 }
@@ -76,14 +76,14 @@ func TestServerMatchesOracleAcrossEpochs(t *testing.T) {
 	for epoch := 0; ; epoch++ {
 		g := NewUndirected(n, edges[:applied])
 		truth := serialdfs.CC(g)
-		res, err := s.CC(ctx)
+		res, err := s.Acquire().CC(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := verify.SamePartition(res.Label, truth); err != nil {
 			t.Fatalf("epoch %d: CC diverged: %v", epoch, err)
 		}
-		aps, err := s.ArticulationPoints(ctx)
+		aps, err := s.Acquire().ArticulationPoints(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,18 +113,18 @@ func TestServerDirectedSCC(t *testing.T) {
 	e := NewDirectedEngine(NewDirected(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}), Options{Threads: 2})
 	s := NewServer(e, ServerConfig{})
 	ctx := context.Background()
-	if res, err := s.SCC(ctx); err != nil || res.NumComponents != 3 {
+	if res, err := s.Acquire().SCC(ctx); err != nil || res.NumComponents != 3 {
 		t.Fatalf("path SCC = (%+v, %v), want 3 components", res, err)
 	}
 	if _, err := s.Apply([]Edge{{U: 2, V: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := s.SCC(ctx); err != nil || res.NumComponents != 1 {
+	if res, err := s.Acquire().SCC(ctx); err != nil || res.NumComponents != 1 {
 		t.Fatalf("cycle SCC = (%+v, %v), want 1 component", res, err)
 	}
 
 	und := NewServer(NewEngine(NewUndirected(2, nil), Options{}), ServerConfig{})
-	if _, err := und.SCC(ctx); !errors.Is(err, ErrNotDirected) {
+	if _, err := und.Acquire().SCC(ctx); !errors.Is(err, ErrNotDirected) {
 		t.Fatalf("undirected SCC err = %v, want ErrNotDirected", err)
 	}
 }
@@ -134,12 +134,12 @@ func TestServerCancelledQuery(t *testing.T) {
 	s := NewServer(NewEngine(g, Options{Threads: 2}), ServerConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.CC(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := s.Acquire().CC(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CC err = %v, want Canceled", err)
 	}
 	// The cancelled attempt must not have poisoned the snapshot: a live
 	// context gets the real answer.
-	res, err := s.CC(context.Background())
+	res, err := s.Acquire().CC(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestServerCancelledQuery(t *testing.T) {
 func TestServerDefaultTimeout(t *testing.T) {
 	g := gen.RandomUndirected(100, 300, 5)
 	s := NewServer(NewEngine(g, Options{Threads: 2}), ServerConfig{DefaultTimeout: time.Second})
-	if ok, err := s.IsConnected(nil); err != nil {
+	if ok, err := s.Acquire().IsConnected(nil); err != nil {
 		t.Fatalf("IsConnected under default timeout: %v", err)
 	} else {
 		want := serialdfs.CC(g)
@@ -221,7 +221,7 @@ func TestServerConcurrentReadersAndWriter(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	res, err := s.CC(ctx)
+	res, err := s.Acquire().CC(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestServerSingleflightAblation(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := s.CC(ctx)
+				res, err := s.Acquire().CC(ctx)
 				if err != nil {
 					t.Errorf("disable=%v: %v", disable, err)
 					return
@@ -264,7 +264,7 @@ func TestSnapshotHistogramCellDefensiveCopy(t *testing.T) {
 	ctx := context.Background()
 	want := map[int]int{3: 1, 2: 1, 1: 1}
 
-	h1, err := s.CCSizeHistogram(ctx)
+	h1, err := s.Acquire().CCSizeHistogram(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSnapshotHistogramCellDefensiveCopy(t *testing.T) {
 	h1[3] = 99
 	h1[7777] = 1
 	delete(h1, 1)
-	h2, err := s.CCSizeHistogram(ctx)
+	h2, err := s.Acquire().CCSizeHistogram(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestSnapshotLargestCCOutOfRange(t *testing.T) {
 		for _, disablePartial := range []bool{false, true} {
 			s := NewServer(NewEngine(NewUndirected(n, edges),
 				Options{Threads: 2, Reorder: mode, DisablePartial: disablePartial}), ServerConfig{})
-			res, err := s.LargestCC(ctx)
+			res, err := s.Acquire().LargestCC(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,10 +328,10 @@ func TestSnapshotLargestCCOutOfRange(t *testing.T) {
 			// warm the CC cell first so LargestCC answers from the census.
 			s2 := NewServer(NewEngine(NewUndirected(n, edges),
 				Options{Threads: 2, Reorder: mode}), ServerConfig{})
-			if _, err := s2.CountCC(ctx); err != nil {
+			if _, err := s2.Acquire().CountCC(ctx); err != nil {
 				t.Fatal(err)
 			}
-			res2, err := s2.LargestCC(ctx)
+			res2, err := s2.Acquire().LargestCC(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

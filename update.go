@@ -74,23 +74,22 @@ func (e *Engine) Dynamic() bool {
 //   - on directed engines the arc set is authoritative: deleting arc U→V
 //     removes the undirected edge {U,V} only when arc V→U is absent too.
 //
-// Cache invalidation mirrors Apply, extended for deletions: a batch whose
-// net effect merges or splits components invalidates the CC-derived caches
-// (re-derived from the forest census, not recomputed by traversal); any
-// structural change invalidates the adjacency-shaped caches (SCC, BiCC,
-// BgCC, APs, bridges, betweenness, coreness), which recompute lazily — at
-// which point the CC/SCC/BiCC policy choosers re-resolve against the
-// reshaped graph. Past Options.RebuildThreshold (counting inserts plus
+// The published snapshot keeps results exactly as Apply describes, extended
+// for deletions: a batch whose net effect merges or splits components drops
+// the CC-derived results (re-derived from the forest census, not recomputed
+// by traversal); any structural change drops the adjacency-shaped results
+// (SCC, BiCC, BgCC, APs, bridges, betweenness, coreness), which recompute
+// lazily — at which point the CC/SCC/BiCC policy choosers re-resolve against
+// the reshaped graph. Past Options.RebuildThreshold (counting inserts plus
 // deletes since the last rebuild) the engine falls back to the static CC
 // pipeline to re-canonicalize, exactly like the insert-only path.
 func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.und.NumVertices()
 	hasDelete := false
 	for _, up := range batch {
-		if int(up.U) >= n || int(up.V) >= n {
-			return nil, fmt.Errorf("aquila: ApplyUpdates: edge (%d,%d) out of range [0,%d)", up.U, up.V, n)
+		if int(up.U) >= e.n || int(up.V) >= e.n {
+			return nil, fmt.Errorf("aquila: ApplyUpdates: edge (%d,%d) out of range [0,%d)", up.U, up.V, e.n)
 		}
 		switch up.Op {
 		case OpInsert:
@@ -100,22 +99,26 @@ func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 			return nil, fmt.Errorf("aquila: ApplyUpdates: unknown op %d on edge (%d,%d)", up.Op, up.U, up.V)
 		}
 	}
-	if e.dyn == nil {
-		if !hasDelete {
-			// Pure inserts before any delete: the monotone CAS union-find
-			// path is strictly faster, so stay on it.
-			edges := make([]Edge, len(batch))
-			for i, up := range batch {
-				edges[i] = Edge{U: up.U, V: up.V}
-			}
-			return e.applyLocked(edges)
+	var res *ApplyResult
+	switch {
+	case e.dyn != nil:
+		res = e.applyUpdatesDynLocked(batch)
+	case !hasDelete:
+		// Pure inserts before any delete: the monotone CAS union-find path
+		// is strictly faster, so stay on it.
+		edges := make([]Edge, len(batch))
+		for i, up := range batch {
+			edges[i] = Edge{U: up.U, V: up.V}
 		}
-		if e.opt.DisableDynamic {
-			return nil, ErrDeletesDisabled
-		}
+		res = e.applyLocked(edges)
+	case e.opt.DisableDynamic:
+		return nil, ErrDeletesDisabled
+	default:
 		e.promoteDynLocked()
+		res = e.applyUpdatesDynLocked(batch)
 	}
-	return e.applyUpdatesDynLocked(batch)
+	e.publishLocked()
+	return res, nil
 }
 
 // promoteDynLocked retires the insert-only incremental layer and builds the
@@ -123,16 +126,16 @@ func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 // e.mu) on the first batch containing a delete.
 func (e *Engine) promoteDynLocked() {
 	e.materializeLocked() // fold any pending insert delta first
-	f := dyn.NewForest(e.und.NumVertices())
-	for _, ep := range e.und.EdgeEndpoints() {
+	f := dyn.NewForest(e.n)
+	for _, ep := range e.gs.und.EdgeEndpoints() {
 		f.Link(ep[0], ep[1])
 	}
 	if e.directed {
 		// The arc set becomes authoritative for the directed graph (and for
 		// when an undirected edge may be cut).
-		e.dirSet = make(map[[2]V]struct{}, e.dir.NumArcs())
-		for u := 0; u < e.dir.NumVertices(); u++ {
-			for _, v := range e.dir.Out(V(u)) {
+		e.dirSet = make(map[[2]V]struct{}, e.gs.dir.NumArcs())
+		for u := 0; u < e.n; u++ {
+			for _, v := range e.gs.dir.Out(V(u)) {
 				e.dirSet[[2]V{V(u), v}] = struct{}{}
 			}
 		}
@@ -142,14 +145,15 @@ func (e *Engine) promoteDynLocked() {
 	e.dyn = f
 	e.inc = nil
 	e.undSet = nil
-	e.baseEdges = e.und.NumEdges()
+	e.baseEdges = e.gs.und.NumEdges()
 	e.sinceRebuild = 0
+	e.live.Store(true)
 }
 
 // applyUpdatesDynLocked processes one mixed batch against the dynamic
 // forest. All graph mutation happens here, in compute ids; CSRs go stale
 // (dynDirty) and are rebuilt lazily by materializeLocked.
-func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
+func (e *Engine) applyUpdatesDynLocked(batch []Update) *ApplyResult {
 	res := &ApplyResult{Dynamic: true}
 	changedUnd, changedDir := false, false
 	for _, up := range batch {
@@ -218,26 +222,16 @@ func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 	}
 
 	if changedUnd || changedDir {
-		e.cacheGen++
 		e.dynDirty = true
 		e.sinceRebuild += int64(res.NewEdges + res.DeletedEdges)
-		if changedUnd {
-			if res.Merged > 0 || res.Split > 0 {
-				e.ccRaw, e.ccRes, e.largestCC = nil, nil, nil
-			}
-			e.biccRes, e.bgccRes, e.apOnly, e.brOnly = nil, nil, nil, nil
-			e.betweenness, e.coreness = nil, nil
-		}
-		if changedDir {
-			e.sccRes, e.condensation = nil, nil
-		}
+		e.invalidateLocked(staleCells(changedUnd, changedDir, res.Merged > 0 || res.Split > 0))
 		if th := e.opt.rebuildThreshold(); th > 0 && float64(e.sinceRebuild) >= th*float64(e.baseEdges+1) {
 			e.rebuildLocked()
 			res.Rebuilt = true
 		}
 	}
 	res.Components = e.dyn.ComponentCount()
-	return res, nil
+	return res
 }
 
 // materializeDynLocked rebuilds the CSR graphs from the dynamic edge sets.
@@ -254,29 +248,19 @@ func (e *Engine) materializeDynLocked() {
 		for k := range e.dirSet {
 			edges = append(edges, graph.Edge{U: k[0], V: k[1]})
 		}
-		e.dir = graph.BuildDirectedThreads(e.dir.NumVertices(), edges, th)
-		e.und = graph.UndirectThreads(e.dir, th)
+		e.gs.dir = graph.BuildDirectedThreads(e.n, edges, th)
+		e.gs.und = graph.UndirectThreads(e.gs.dir, th)
 	} else {
 		pairs := e.dyn.EdgeList(nil)
 		edges := make([]graph.Edge, 0, len(pairs))
 		for _, p := range pairs {
 			edges = append(edges, graph.Edge{U: p[0], V: p[1]})
 		}
-		e.und = graph.BuildUndirectedThreads(e.und.NumVertices(), edges, th)
+		e.gs.und = graph.BuildUndirectedThreads(e.n, edges, th)
 	}
-	if e.perm != nil {
-		// Same inverse-relabeling dance as the insert-only fold: the compute
-		// CSRs absorbed the updates in compute ids, the caller-id graphs and
-		// the edge-id translation are re-derived from them.
-		inv := &graph.Permutation{Perm: e.perm.Inv, Inv: e.perm.Perm}
-		if e.directed {
-			e.origDir = inv.ApplyDirected(e.dir, th)
-			e.origUnd = graph.UndirectThreads(e.origDir, th)
-		} else {
-			e.origUnd = inv.ApplyUndirected(e.und, th)
-		}
-		e.eidMap = e.perm.EdgeIDMap(e.origUnd, e.und, th)
-	}
+	// The compute CSRs absorbed the updates in compute ids; the caller-id
+	// graphs and the edge-id translation are re-derived from them.
+	e.gs = relabelBack(e.directed, e.perm, e.gs, th)
 	e.dynDirty = false
 }
 
